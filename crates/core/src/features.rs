@@ -47,10 +47,12 @@ pub struct GroupFeatures {
 impl GroupFeatures {
     /// Computes the vector for a group in a tree.
     pub fn compute(tree: &DomainTree, group: &GroupMembers) -> GroupFeatures {
-        let entropy = entropy_stats(&group.adjacent_labels);
+        let entropy = entropy_stats(
+            group.adjacent.iter().map(|&id| tree.label_of(id).expect("a zone child has a label")),
+        );
         let chr = group_chr(tree, group);
         GroupFeatures {
-            cardinality: group.adjacent_labels.len() as f64,
+            cardinality: group.adjacent.len() as f64,
             entropy_max: entropy.max,
             entropy_min: entropy.min,
             entropy_mean: entropy.mean,
@@ -96,11 +98,11 @@ struct EntropyStats {
     variance: f64,
 }
 
-fn entropy_stats(labels: &[Label]) -> EntropyStats {
-    if labels.is_empty() {
+fn entropy_stats<'a>(labels: impl IntoIterator<Item = &'a Label>) -> EntropyStats {
+    let mut h: Vec<f64> = labels.into_iter().map(Label::entropy).collect();
+    if h.is_empty() {
         return EntropyStats { max: 0.0, min: 0.0, mean: 0.0, median: 0.0, variance: 0.0 };
     }
-    let mut h: Vec<f64> = labels.iter().map(Label::entropy).collect();
     h.sort_unstable_by(|a, b| a.partial_cmp(b).expect("entropy is finite"));
     let n = h.len() as f64;
     let mean = h.iter().sum::<f64>() / n;

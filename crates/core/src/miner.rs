@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::features::GroupFeatures;
 use crate::labeling::LabeledZones;
-use crate::tree::DomainTree;
+use crate::tree::{DomainTree, GroupMembers};
 
 /// Miner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,37 +93,39 @@ impl Miner {
     /// Runs Algorithm 1 over the whole tree: from every effective 2LD,
     /// classify depth groups, decolor disposable ones, recurse.
     ///
-    /// The tree is mutated (decoloring); run on a fresh tree per day as
-    /// the paper's daily process does (Fig. 10).
+    /// The tree is mutated (decoloring). Run it on a fresh tree per day
+    /// as the paper's daily process does (Fig. 10), or on a tree whose
+    /// every RR-owning node was [`DomainTree::refresh`]ed since the last
+    /// run, as the streaming miner's epoch closes do: both give the same
+    /// findings.
     pub fn mine(&self, tree: &mut DomainTree, psl: &SuffixList) -> Vec<Finding> {
         let mut findings = Vec::new();
-        for (node, name) in tree.registered_domains(psl) {
-            self.classify_zone(tree, node, name, &mut findings);
+        let mut walk = Walk::default();
+        for (node, depth) in tree.registered_zones(psl) {
+            self.classify_zone(tree, node, depth, &mut walk, &mut findings);
         }
         findings
     }
 
-    /// Algorithm 1 for one zone `z` (recursive).
+    /// Algorithm 1 for one zone `z` (recursive) at absolute depth
+    /// `depth`. The zone's name is built only for a finding.
     fn classify_zone(
         &self,
         tree: &mut DomainTree,
         zone_id: usize,
-        zone: Name,
+        depth: usize,
+        walk: &mut Walk,
         out: &mut Vec<Finding>,
     ) {
-        let depth = zone.depth();
-        let groups = tree.groups_under_id(zone_id, depth);
+        tree.collect_groups(zone_id, &mut walk.groups);
         // Line 1-3: no black descendants → stop.
-        if groups.groups.is_empty() {
+        if walk.groups.iter().all(|group| group.members.is_empty()) {
             return;
         }
-        // Lines 6-14: classify each G_k; decolor and emit on a confident
-        // disposable verdict.
-        let mut depths: Vec<usize> = groups.groups.keys().copied().collect();
-        depths.sort_unstable();
-        for k in depths {
-            let group = &groups.groups[&k];
-            if group.members.len() < self.config.min_group_size {
+        // Lines 6-14: classify each G_k, in depth order; decolor and emit
+        // on a confident disposable verdict.
+        for (offset, group) in walk.groups.iter().enumerate() {
+            if group.members.is_empty() || group.members.len() < self.config.min_group_size {
                 continue;
             }
             let features = GroupFeatures::compute(tree, group);
@@ -133,20 +135,32 @@ impl Miner {
                     tree.decolor(member);
                 }
                 out.push(Finding {
-                    zone: zone.clone(),
-                    depth: k,
+                    zone: tree.name_of(zone_id),
+                    depth: depth + 1 + offset,
                     confidence: p,
                     members: group.members.len(),
                 });
             }
         }
-        // Lines 15-17: recurse into children.
-        let children: Vec<usize> = tree.children_of(zone_id).collect();
-        for child in children {
-            let label = tree.label_of(child).expect("non-root node has a label").clone();
-            self.classify_zone(tree, child, zone.child(label), out);
+        // Lines 15-17: recurse into children. They are stacked on the
+        // shared buffer; each recursion pops what it pushed.
+        let start = walk.children.len();
+        walk.children.extend(tree.children_of(zone_id));
+        for at in start..walk.children.len() {
+            let child = walk.children[at];
+            self.classify_zone(tree, child, depth + 1, walk, out);
         }
+        walk.children.truncate(start);
     }
+}
+
+/// Buffers one [`Miner::mine`] call reuses for every zone it inspects:
+/// the current zone's groups (finished with before the recursion starts)
+/// and a stack of the children still to visit.
+#[derive(Default)]
+struct Walk {
+    groups: Vec<GroupMembers>,
+    children: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The domain name tree of §V-A1.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use dnsnoise_dns::{Label, Name, SuffixList};
 use dnsnoise_resolver::RrDayStats;
@@ -19,28 +19,31 @@ pub struct GroupKey {
 /// inspection", §V-A1).
 #[derive(Debug, Clone, Default)]
 pub struct ZoneGroups {
-    /// `depth → (member node ids, adjacent-label set)`.
+    /// `depth → (member node ids, adjacent child ids)`.
     pub groups: BTreeMap<usize, GroupMembers>,
 }
 
-/// One `G_k`: the member nodes plus their `L_k` labels.
+/// One `G_k`: the member nodes plus the zone children whose labels form
+/// `L_k`.
 #[derive(Debug, Clone, Default)]
 pub struct GroupMembers {
     /// Arena ids of the black member nodes.
     pub members: Vec<usize>,
-    /// The distinct labels adjacent to the inspected zone on the members'
-    /// paths (the set `L_k`).
-    pub adjacent_labels: Vec<Label>,
+    /// Arena ids of the inspected zone's children on the members' paths,
+    /// each once, in label order: their labels are the set `L_k`.
+    pub adjacent: Vec<usize>,
 }
 
 #[derive(Debug)]
 struct TreeNode {
     label: Option<Label>,
     // Ordered so every traversal (registered-domain walk, group
-    // collection, name reconstruction) visits children in label order —
-    // member vectors and discovery order stay deterministic regardless
-    // of arena insertion order.
+    // collection) visits children in label order — member vectors and
+    // discovery order stay deterministic regardless of arena insertion
+    // order.
     children: BTreeMap<Label, usize>,
+    /// Arena id of the parent node (the root's is its own, 0).
+    parent: u32,
     /// A black node owned at least one RR in the observation window.
     black: bool,
     /// Per-RR `(domain hit rate, miss count)` pairs for RRs owned by this
@@ -65,7 +68,7 @@ struct TreeNode {
 /// let zone: dnsnoise_dns::Name = "tracker.example.com".parse()?;
 /// let groups = tree.groups_under(&zone).expect("zone exists");
 /// assert_eq!(groups.groups[&4].members.len(), 2);
-/// assert_eq!(groups.groups[&4].adjacent_labels.len(), 2);
+/// assert_eq!(groups.groups[&4].adjacent.len(), 2);
 /// # Ok::<(), dnsnoise_dns::NameParseError>(())
 /// ```
 #[derive(Debug)]
@@ -86,6 +89,7 @@ impl DomainTree {
             arena: vec![TreeNode {
                 label: None,
                 children: BTreeMap::new(),
+                parent: 0,
                 black: false,
                 rr_chr: Vec::new(),
             }],
@@ -105,6 +109,21 @@ impl DomainTree {
     /// hit rate and daily miss count. The name's node (and its ancestors'
     /// nodes) are created as needed; the node turns black.
     pub fn observe(&mut self, name: &Name, dhr: f64, misses: u32) {
+        let id = self.insert(name);
+        let n = &mut self.arena[id];
+        n.black = true;
+        n.rr_chr.push((dhr, misses));
+    }
+
+    /// Returns the node id of `name`, creating it and any missing
+    /// ancestors as white nodes with no RRs. A tree kept across epochs
+    /// inserts each name once and sets its RRs with
+    /// [`DomainTree::refresh`] before every mining pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena outgrows `u32` node ids.
+    pub fn insert(&mut self, name: &Name) -> usize {
         let mut node = 0usize;
         // Walk rightmost label (TLD) first.
         for label in name.labels().iter().rev() {
@@ -115,6 +134,7 @@ impl DomainTree {
                     self.arena.push(TreeNode {
                         label: Some(label.clone()),
                         children: BTreeMap::new(),
+                        parent: u32::try_from(node).expect("tree fits u32 node ids"),
                         black: false,
                         rr_chr: Vec::new(),
                     });
@@ -123,9 +143,22 @@ impl DomainTree {
                 }
             };
         }
-        let n = &mut self.arena[node];
+        node
+    }
+
+    /// Replaces the `(dhr, misses)` pairs of node `id` and turns it black
+    /// again, undoing any earlier decoloring: after a refresh of every
+    /// RR-owning node, a tree [`Miner::mine`](crate::Miner::mine) has
+    /// already walked is indistinguishable from a freshly built one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn refresh(&mut self, id: usize, rr_chr: impl IntoIterator<Item = (f64, u32)>) {
+        let n = &mut self.arena[id];
         n.black = true;
-        n.rr_chr.push((dhr, misses));
+        n.rr_chr.clear();
+        n.rr_chr.extend(rr_chr);
     }
 
     /// Total nodes in the arena (including white interior nodes and root).
@@ -188,30 +221,21 @@ impl DomainTree {
         self.arena[id].label.as_ref()
     }
 
-    /// Reconstructs the full name of a node by id — `O(depth × fanout)`,
-    /// intended for reporting, not hot paths.
+    /// Reconstructs the full name of a node by id by following parent
+    /// links — `O(depth)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
     pub fn name_of(&self, id: usize) -> Name {
-        fn walk(tree: &DomainTree, current: usize, target: usize, path: &mut Vec<Label>) -> bool {
-            if current == target {
-                return true;
-            }
-            for (label, &child) in &tree.arena[current].children {
-                path.push(label.clone());
-                if walk(tree, child, target, path) {
-                    return true;
-                }
-                path.pop();
-            }
-            false
+        let mut labels = Vec::new();
+        let mut node = &self.arena[id];
+        while let Some(label) = &node.label {
+            labels.push(label.clone());
+            node = &self.arena[node.parent as usize];
         }
-        let mut path = Vec::new();
-        if walk(self, 0, id, &mut path) {
-            // path is rightmost-first; Name wants leftmost-first.
-            path.reverse();
-            Name::from_labels(path)
-        } else {
-            Name::root()
-        }
+        // Collected leftmost first, as `Name` wants.
+        Name::from_labels(labels)
     }
 
     /// Collects the black descendants of `zone`, grouped by absolute depth
@@ -225,37 +249,48 @@ impl DomainTree {
     /// [`DomainTree::groups_under`] by node id (`zone_depth` is the
     /// zone's absolute depth).
     pub fn groups_under_id(&self, zone_id: usize, zone_depth: usize) -> ZoneGroups {
-        let mut groups: BTreeMap<usize, (Vec<usize>, BTreeSet<Label>)> = BTreeMap::new();
-        for (adjacent_label, &child) in &self.arena[zone_id].children {
-            self.collect(child, zone_depth + 1, adjacent_label, &mut groups);
-        }
+        let mut groups = Vec::new();
+        self.collect_groups(zone_id, &mut groups);
         ZoneGroups {
-            groups: groups
-                .into_iter()
-                .map(|(depth, (members, labels))| {
-                    // BTreeSet iterates in label order, so `L_k` is sorted.
-                    let adjacent_labels: Vec<Label> = labels.into_iter().collect();
-                    (depth, GroupMembers { members, adjacent_labels })
-                })
+            groups: (zone_depth + 1..)
+                .zip(groups)
+                .filter(|(_, group)| !group.members.is_empty())
                 .collect(),
         }
     }
 
-    fn collect(
-        &self,
-        id: usize,
-        depth: usize,
-        adjacent: &Label,
-        groups: &mut BTreeMap<usize, (Vec<usize>, BTreeSet<Label>)>,
-    ) {
+    /// The allocation-free core of [`DomainTree::groups_under_id`]: fills
+    /// `groups[i]` with the group `depth(zone) + 1 + i`. Entries are
+    /// cleared rather than dropped, and entries past the deepest black
+    /// descendant stay empty, so a walk reusing one buffer across every
+    /// zone it inspects allocates only when a group outgrows all earlier
+    /// ones.
+    pub(crate) fn collect_groups(&self, zone_id: usize, groups: &mut Vec<GroupMembers>) {
+        for group in groups.iter_mut() {
+            group.members.clear();
+            group.adjacent.clear();
+        }
+        for &child in self.arena[zone_id].children.values() {
+            self.collect(child, 0, child, groups);
+        }
+    }
+
+    fn collect(&self, id: usize, offset: usize, adjacent: usize, groups: &mut Vec<GroupMembers>) {
         let node = &self.arena[id];
         if node.black {
-            let slot = groups.entry(depth).or_default();
-            slot.0.push(id);
-            slot.1.insert(adjacent.clone());
+            if groups.len() <= offset {
+                groups.resize_with(offset + 1, GroupMembers::default);
+            }
+            let group = &mut groups[offset];
+            group.members.push(id);
+            // Each zone child's subtree is walked whole before the next
+            // one, so a repeat is always the last entry.
+            if group.adjacent.last() != Some(&adjacent) {
+                group.adjacent.push(adjacent);
+            }
         }
         for &child in node.children.values() {
-            self.collect(child, depth + 1, adjacent, groups);
+            self.collect(child, offset + 1, adjacent, groups);
         }
     }
 
@@ -263,34 +298,41 @@ impl DomainTree {
     /// the tree — the starting zones of Algorithm 1. A node qualifies when
     /// its parent path is a public suffix and it is not one itself.
     pub fn registered_domains(&self, psl: &SuffixList) -> Vec<(usize, Name)> {
+        self.registered_zones(psl).into_iter().map(|(id, _)| (id, self.name_of(id))).collect()
+    }
+
+    /// [`DomainTree::registered_domains`] as `(node id, depth)` pairs,
+    /// without building a name per node.
+    pub(crate) fn registered_zones(&self, psl: &SuffixList) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        let mut path: Vec<Label> = Vec::new();
-        self.walk_registered(0, psl, &mut path, &mut out);
+        self.walk_registered(0, 0, psl, &mut String::new(), &mut out);
         out
     }
 
+    /// `path` holds the labels from the TLD down to `id`, joined with
+    /// dots — the reversed form [`SuffixList::is_suffix_reversed`] reads.
     fn walk_registered(
         &self,
         id: usize,
+        depth: usize,
         psl: &SuffixList,
-        path: &mut Vec<Label>,
-        out: &mut Vec<(usize, Name)>,
+        path: &mut String,
+        out: &mut Vec<(usize, usize)>,
     ) {
         for (label, &child) in &self.arena[id].children {
-            path.push(label.clone());
-            let name = {
-                let mut labels = path.clone();
-                labels.reverse();
-                Name::from_labels(labels)
-            };
-            if psl.is_suffix(&name) {
+            let mark = path.len();
+            if mark > 0 {
+                path.push('.');
+            }
+            path.push_str(label.as_str());
+            if psl.is_suffix_reversed(path) {
                 // Still inside the public-suffix area: keep descending.
-                self.walk_registered(child, psl, path, out);
+                self.walk_registered(child, depth + 1, psl, path, out);
             } else {
                 // First non-suffix level: this is a registered domain.
-                out.push((child, name));
+                out.push((child, depth + 1));
             }
-            path.pop();
+            path.truncate(mark);
         }
     }
 }
@@ -329,7 +371,11 @@ mod tests {
         assert_eq!(groups.groups[&5].members.len(), 1);
         // L3 = {a, c}, L4 = {a, b}, L5 = {a}.
         let labels = |k: usize| -> Vec<String> {
-            groups.groups[&k].adjacent_labels.iter().map(|l| l.to_string()).collect()
+            groups.groups[&k]
+                .adjacent
+                .iter()
+                .map(|&id| tree.label_of(id).unwrap().to_string())
+                .collect()
         };
         assert_eq!(labels(3), vec!["a", "c"]);
         assert_eq!(labels(4), vec!["a", "b"]);
@@ -430,6 +476,25 @@ mod tests {
             members(&forward),
             vec![n("aa.a.example.com"), n("zz.a.example.com"), n("mm.b.example.com")]
         );
+    }
+
+    #[test]
+    fn insert_adds_white_nodes_and_refresh_reblackens() {
+        let mut tree = DomainTree::new();
+        let id = tree.insert(&n("x.tracker.com"));
+        assert_eq!(tree.insert(&n("x.tracker.com")), id, "insert is idempotent");
+        assert_eq!(tree.black_count(), 0);
+        tree.refresh(id, [(0.5, 2), (0.0, 1)]);
+        assert!(tree.is_black(&n("x.tracker.com")));
+        tree.decolor(id);
+        tree.refresh(id, [(1.0, 0)]);
+        assert!(tree.is_black(&n("x.tracker.com")));
+        assert_eq!(tree.node_chr(id), &[(1.0, 0)], "refresh replaces the pairs");
+    }
+
+    #[test]
+    fn name_of_root_is_root() {
+        assert_eq!(paper_example_tree().name_of(0), Name::root());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use std::collections::HashSet;
 
-use dnsnoise_core::{DomainTree, GroupFeatures};
+use dnsnoise_core::{DomainTree, GroupFeatures, Miner, MinerConfig};
 use dnsnoise_dns::{Label, Name, SuffixList};
+use dnsnoise_ml::Model;
 use proptest::prelude::*;
 
 fn arb_label() -> impl Strategy<Value = Label> {
@@ -18,7 +19,79 @@ fn arb_observation() -> impl Strategy<Value = (Name, f64, u32)> {
     (arb_name(), 0.0f64..=1.0, 0u32..20)
 }
 
+/// Names dense enough to share zones: one to three short labels under a
+/// handful of registered domains (one below a two-label suffix).
+fn arb_clustered_name() -> impl Strategy<Value = Name> {
+    let label = proptest::string::string_regex("[a-d]{1,2}").unwrap();
+    let apex = prop_oneof![Just("x.com"), Just("y.com"), Just("z.co.uk")];
+    (proptest::collection::vec(label, 1..4), apex)
+        .prop_map(|(labels, apex)| format!("{}.{apex}", labels.join(".")).parse().unwrap())
+}
+
+/// One cycle's `(dhr, misses)` pairs for each of up to 40 names: one to
+/// three per name, with hit rates on a coarse grid so exact zeros (the
+/// zero-CHR feature) are common.
+fn arb_cycle_values() -> impl Strategy<Value = Vec<Vec<(f64, u32)>>> {
+    let dhr = (0u32..4).prop_map(|k| f64::from(k) / 3.0);
+    proptest::collection::vec(proptest::collection::vec((dhr, 0u32..5), 1..4), 40..41)
+}
+
+/// Flags groups of at least two adjacent labels whose CHR mass sits
+/// partly at zero, so mining decolors some groups and not others. The
+/// confidence carries the median CHR, so a finding also pins the
+/// group's CHR samples.
+struct ThresholdModel;
+
+impl Model for ThresholdModel {
+    fn score(&self, x: &[f64]) -> f64 {
+        if x[0] >= 2.0 && x[7] >= 0.3 {
+            0.9 + 0.1 * x[6]
+        } else {
+            0.05
+        }
+    }
+}
+
 proptest! {
+    /// A tree kept across cycles — grown, every owning node refreshed,
+    /// mined (which decolors it) — yields in each cycle exactly the
+    /// findings of a tree built fresh from that cycle's observations.
+    #[test]
+    fn refreshed_tree_mines_like_a_fresh_one(
+        names in proptest::collection::vec(arb_clustered_name(), 1..40),
+        cycles in proptest::collection::vec(arb_cycle_values(), 1..5),
+    ) {
+        let mut distinct: Vec<Name> = Vec::new();
+        for name in names {
+            if !distinct.contains(&name) {
+                distinct.push(name);
+            }
+        }
+        let miner = Miner::new(
+            Box::new(ThresholdModel),
+            MinerConfig { min_group_size: 2, ..MinerConfig::default() },
+        );
+        let psl = SuffixList::builtin();
+        let mut reused = DomainTree::new();
+        let k = cycles.len();
+        for (cycle, values) in cycles.iter().enumerate() {
+            // The name set only grows, as within a streamed day.
+            let live = &distinct[..distinct.len() * (cycle + 1) / k];
+            let mut fresh = DomainTree::new();
+            for (name, pairs) in live.iter().zip(values) {
+                let id = reused.insert(name);
+                reused.refresh(id, pairs.iter().copied());
+                for &(dhr, misses) in pairs {
+                    fresh.observe(name, dhr, misses);
+                }
+            }
+            prop_assert_eq!(reused.black_count(), fresh.black_count());
+            let got = miner.mine(&mut reused, &psl);
+            let want = miner.mine(&mut fresh, &psl);
+            prop_assert_eq!(got, want, "cycle {} of {}", cycle, k);
+        }
+    }
+
     /// Every observed name becomes a black node; groups under any zone
     /// partition the black descendants; members sit at the claimed depth.
     #[test]

@@ -32,9 +32,24 @@ use crate::name::Name;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SuffixList {
-    exact: HashSet<Name>,
-    wildcard: HashSet<Name>,
-    exception: HashSet<Name>,
+    // Each rule's name, keyed by its labels rightmost first and joined
+    // with dots (`uk.co` for `co.uk`): every candidate suffix of a name
+    // is then a prefix of one string, so a query needs no allocation.
+    exact: HashSet<String>,
+    wildcard: HashSet<String>,
+    exception: HashSet<String>,
+}
+
+/// `name`'s labels rightmost first, joined with dots.
+fn reversed_key(name: &Name) -> String {
+    let mut key = String::with_capacity(name.presentation_len());
+    for label in name.labels().iter().rev() {
+        if !key.is_empty() {
+            key.push('.');
+        }
+        key.push_str(label.as_str());
+    }
+    key
 }
 
 /// Representative rules: generic TLDs, common ccTLDs and second-level
@@ -179,13 +194,14 @@ impl SuffixList {
     ///
     /// Returns an error if the embedded name fails to parse.
     pub fn add_rule(&mut self, rule: &str) -> Result<(), crate::NameParseError> {
-        if let Some(rest) = rule.strip_prefix("!") {
-            self.exception.insert(rest.parse()?);
+        let (set, rest) = if let Some(rest) = rule.strip_prefix("!") {
+            (&mut self.exception, rest)
         } else if let Some(rest) = rule.strip_prefix("*.") {
-            self.wildcard.insert(rest.parse()?);
+            (&mut self.wildcard, rest)
         } else {
-            self.exact.insert(rule.parse()?);
-        }
+            (&mut self.exact, rule)
+        };
+        set.insert(reversed_key(&rest.parse()?));
         Ok(())
     }
 
@@ -205,28 +221,10 @@ impl SuffixList {
     /// matches, which mirrors the PSL's implicit `*` rule. Returns `None`
     /// only for the root name.
     pub fn effective_tld(&self, name: &Name) -> Option<Name> {
-        let depth = name.depth();
-        if depth == 0 {
+        if name.is_root() {
             return None;
         }
-        // Longest match wins: try the deepest candidate suffix first.
-        for n in (1..=depth).rev() {
-            let candidate = name.nld(n).expect("n <= depth");
-            if self.exception.contains(&candidate) {
-                // An exception rule makes the candidate *registrable*, so
-                // its parent is the suffix.
-                return candidate.parent();
-            }
-            if self.exact.contains(&candidate) {
-                return Some(candidate);
-            }
-            if let Some(parent) = candidate.parent() {
-                if !parent.is_root() && self.wildcard.contains(&parent) {
-                    return Some(candidate);
-                }
-            }
-        }
-        name.nld(1)
+        name.nld(self.etld_depth(&reversed_key(name)))
     }
 
     /// The registered (registrable) domain: one label below the effective
@@ -244,10 +242,51 @@ impl SuffixList {
 
     /// Returns `true` if `name` is exactly a public suffix.
     pub fn is_suffix(&self, name: &Name) -> bool {
-        match self.effective_tld(name) {
-            Some(etld) => etld == *name,
-            None => false,
+        self.is_suffix_reversed(&reversed_key(name))
+    }
+
+    /// [`SuffixList::is_suffix`] for a name given as its labels rightmost
+    /// first, joined with dots (`uk.co` asks about `co.uk`; the empty
+    /// string is the root). A tree walk that descends from the TLDs keeps
+    /// this form in one growing buffer, so it can ask about every node
+    /// without building a [`Name`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dnsnoise_dns::SuffixList;
+    ///
+    /// let psl = SuffixList::builtin();
+    /// assert!(psl.is_suffix_reversed("uk.co"));
+    /// assert!(!psl.is_suffix_reversed("uk.co.example"));
+    /// ```
+    pub fn is_suffix_reversed(&self, labels: &str) -> bool {
+        !labels.is_empty() && self.etld_depth(labels) == labels.split('.').count()
+    }
+
+    /// The effective TLD's label count for a non-root name in reversed
+    /// form. The candidate suffixes of depth `n = 1, 2, …` are the
+    /// prefixes of `labels` that end at a dot or at the end; the deepest
+    /// candidate some rule matches wins, an exception rule first, then
+    /// an exact rule, then a wildcard rule on the candidate's parent. An
+    /// exception makes the candidate registrable, so its parent (one
+    /// label shorter) is the suffix.
+    fn etld_depth(&self, labels: &str) -> usize {
+        let mut depth = 1; // the lexical-TLD fallback
+        let mut parent_end: Option<usize> = None;
+        let ends = labels.match_indices('.').map(|(at, _)| at).chain([labels.len()]);
+        for (n, end) in (1..).zip(ends) {
+            let candidate = &labels[..end];
+            if self.exception.contains(candidate) {
+                depth = n - 1;
+            } else if self.exact.contains(candidate)
+                || parent_end.is_some_and(|p| self.wildcard.contains(&labels[..p]))
+            {
+                depth = n;
+            }
+            parent_end = Some(end);
         }
+        depth
     }
 }
 
@@ -312,6 +351,24 @@ mod tests {
         assert_eq!(psl.registered_domain(&n("com")), None);
         assert!(psl.is_suffix(&n("co.uk")));
         assert!(!psl.is_suffix(&n("example.co.uk")));
+    }
+
+    #[test]
+    fn reversed_form_agrees_with_names() {
+        let psl = SuffixList::builtin();
+        for (name, reversed) in [
+            ("co.uk", "uk.co"),
+            ("example.co.uk", "uk.co.example"),
+            ("com", "com"),
+            ("anything.ck", "ck.anything"),
+            ("www.ck", "ck.www"),
+            ("dyndns.org", "org.dyndns"),
+            ("bar.zz", "zz.bar"),
+            ("zz", "zz"),
+        ] {
+            assert_eq!(psl.is_suffix(&n(name)), psl.is_suffix_reversed(reversed), "{name}");
+        }
+        assert!(!psl.is_suffix_reversed(""), "the root is no suffix");
     }
 
     #[test]

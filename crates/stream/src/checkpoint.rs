@@ -36,7 +36,7 @@ use dnsnoise_pdns::{
 };
 
 use crate::engine::{
-    EpochSummary, StreamConfig, StreamState, CM_MISSES_SEED_XOR, HLL_NAMES_SEED_XOR,
+    EpochSummary, Registry, StreamConfig, StreamState, CM_MISSES_SEED_XOR, HLL_NAMES_SEED_XOR,
 };
 use crate::sketch::{CountMinSketch, HyperLogLog};
 
@@ -69,6 +69,8 @@ pub struct Checkpoint {
     pub(crate) peak_state_bytes: usize,
     pub(crate) epochs: Vec<EpochSummary>,
     // -- name registry --
+    /// Every registered name with its record fingerprints: strictly
+    /// increasing names, each with at least one fingerprint.
     pub(crate) names: Vec<(Name, Vec<u64>)>,
     pub(crate) registry_bytes: u64,
     // -- sketches --
@@ -140,7 +142,7 @@ impl Checkpoint {
             current_epoch,
             peak_state_bytes,
             epochs: epochs.to_vec(),
-            names: state.names.iter().map(|(n, fps)| (n.clone(), fps.clone())).collect(),
+            names: state.registry.entries(),
             registry_bytes: state.registry_bytes as u64,
             cm_queries_rows: state.cm_queries.rows().to_vec(),
             cm_queries_total: state.cm_queries.total(),
@@ -265,7 +267,7 @@ impl Checkpoint {
             }
         };
         Ok(StreamState {
-            names: self.names.iter().cloned().collect(),
+            registry: Registry::from_entries(&self.names),
             cm_queries,
             cm_misses,
             hll_clients,
@@ -456,7 +458,16 @@ impl Checkpoint {
         let mut names = Vec::with_capacity(name_count);
         for _ in 0..name_count {
             let name = cur.name()?;
+            // Capture writes each registered name once, in `Name` order,
+            // with at least one fingerprint; anything else would be
+            // silently merged or dropped by the restore.
+            if names.last().is_some_and(|(prev, _)| *prev >= name) {
+                return Err(format!("registry name `{name}` duplicated or out of order"));
+            }
             let fp_count = cur.count()?;
+            if fp_count == 0 {
+                return Err(format!("registry name `{name}` has no fingerprints"));
+            }
             let mut fps = Vec::with_capacity(fp_count);
             for _ in 0..fp_count {
                 fps.push(cur.u64()?);
@@ -837,6 +848,37 @@ mod tests {
             flipped[byte] ^= 0x20;
             assert!(Checkpoint::from_bytes(&flipped).is_err(), "flip at {byte} accepted");
         }
+    }
+
+    /// A sample whose registry is replaced by `names`, re-serialised with
+    /// a valid checksum so only the registry check can reject it.
+    fn with_registry(names: Vec<(&str, Vec<u64>)>) -> Vec<u8> {
+        let mut ckpt = sample();
+        ckpt.names = names.into_iter().map(|(n, fps)| (n.parse().unwrap(), fps)).collect();
+        ckpt.to_bytes()
+    }
+
+    #[test]
+    fn malformed_registries_are_rejected_as_corrupt() {
+        let cases = [
+            ("duplicate", vec![("a.example.com", vec![1]), ("a.example.com", vec![2])]),
+            ("unsorted", vec![("b.example.com", vec![1]), ("a.example.com", vec![2])]),
+            ("empty fingerprints", vec![("a.example.com", vec![]), ("b.example.com", vec![2])]),
+        ];
+        let dir = std::env::temp_dir().join(format!("dnsnoise-ckpt-reg-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (case, names) in cases {
+            let bytes = with_registry(names);
+            assert!(Checkpoint::from_bytes(&bytes).is_err(), "{case} registry accepted");
+            std::fs::write(dir.join(CHECKPOINT_NAME), &bytes).unwrap();
+            assert!(
+                matches!(Checkpoint::load(&dir), Err(StoreError::Corrupt { .. })),
+                "{case} registry not reported as corrupt"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        // The well-formed sample still decodes.
+        assert!(Checkpoint::from_bytes(&with_registry(vec![("a.example.com", vec![1])])).is_ok());
     }
 
     #[test]

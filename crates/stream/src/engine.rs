@@ -4,23 +4,27 @@
 //! A [`StreamMiner`] drives three online structures from a single
 //! [`EventSession`] replay:
 //!
-//! * the **name registry** — a `BTreeMap` from each observed owner name
-//!   to the 8-byte fingerprints of its resource records. This is the only
-//!   per-name state; unlike the batch path's `HashMap<RrKey, RrStat>`,
-//!   each name is stored once instead of once per `(name, qtype, rdata)`
-//!   triple, and per-record counters live in the fixed-size sketches;
+//! * the **name registry** — one [`DomainTree`] kept for the whole day,
+//!   into which each owner name is inserted the first time it owns a
+//!   record, plus a side table from its node to the 8-byte fingerprints
+//!   of its resource records. This is the only per-name state; unlike the
+//!   batch path's `HashMap<RrKey, RrStat>`, each name is stored once
+//!   instead of once per `(name, qtype, rdata)` triple, and per-record
+//!   counters live in the fixed-size sketches;
 //! * two **count-min sketches** — below-the-recursives query counts and
 //!   above-the-recursives miss counts per record fingerprint, from which
 //!   the paper's domain hit rate (Eq. 1) is recovered at epoch close;
 //! * two **HyperLogLogs** — distinct clients and distinct owner names.
 //!
-//! At each epoch boundary (and at [`StreamMiner::finish`]) the registry
-//! and sketches are folded into a fresh [`DomainTree`] snapshot and the
-//! trained classifier runs Algorithm 1 over it. Snapshots are
-//! non-destructive: closing an epoch mid-stream and resuming is
-//! indistinguishable from an uninterrupted run.
+//! At each epoch boundary (and at [`StreamMiner::finish`]) every
+//! registered node of the tree is refreshed — its `(dhr, misses)` pairs
+//! rewritten from the sketches, its colour reset to black — and the
+//! trained classifier runs Algorithm 1 over it. Within a day the tree
+//! only grows, so a close never rebuilds it; and because the refresh
+//! undoes the previous close's decoloring, closes are non-destructive:
+//! closing an epoch mid-stream and resuming is indistinguishable from an
+//! uninterrupted run.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use dnsnoise_core::{DomainTree, Finding, Miner, MiningReport};
@@ -31,7 +35,7 @@ use dnsnoise_resolver::{DayReport, EventSession, Observer, ResolverSim, Served, 
 use dnsnoise_workload::{GroundTruth, QueryEvent};
 
 use crate::checkpoint::Checkpoint;
-use crate::sketch::{fnv1a, CountMinSketch, HyperLogLog};
+use crate::sketch::{display_fnv1a, CountMinSketch, HyperLogLog};
 
 /// How many fpDNS records the streaming collector retains as samples.
 /// Aggregate pDNS counters are exact regardless.
@@ -282,13 +286,83 @@ fn render_finding(f: &Finding) -> String {
     )
 }
 
+/// The name registry: the day-so-far domain tree plus, per node, the
+/// fingerprints of the records that name owns.
+#[derive(Debug, Default)]
+pub(crate) struct Registry {
+    /// Every registered name's path; mined in place at each close.
+    pub(crate) tree: DomainTree,
+    /// Record fingerprints by node id, in first-seen order. Non-empty
+    /// exactly for the registered (record-owning) nodes; kept out of the
+    /// tree so batch trees carry none.
+    fps: Vec<Vec<u64>>,
+}
+
+impl Registry {
+    /// Rebuilds a registry from `(name, fingerprints)` entries.
+    pub(crate) fn from_entries(entries: &[(Name, Vec<u64>)]) -> Registry {
+        let mut registry = Registry::default();
+        for (name, fps) in entries {
+            *registry.fingerprints_mut(name) = fps.clone();
+        }
+        registry
+    }
+
+    /// The fingerprint list of `name`, inserting the name (with an empty
+    /// list) if it is new.
+    fn fingerprints_mut(&mut self, name: &Name) -> &mut Vec<u64> {
+        let id = self.tree.insert(name);
+        self.fps.resize_with(self.tree.node_count(), Vec::new);
+        &mut self.fps[id]
+    }
+
+    /// Distinct registered names.
+    pub(crate) fn len(&self) -> usize {
+        registered(&self.fps).count()
+    }
+
+    /// Every `(name, fingerprints)` entry in `Name` order — the
+    /// checkpoint's serialisation order.
+    pub(crate) fn entries(&self) -> Vec<(Name, Vec<u64>)> {
+        let mut entries: Vec<(Name, Vec<u64>)> =
+            registered(&self.fps).map(|(id, fps)| (self.tree.name_of(id), fps.clone())).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
+
+    /// Rewrites every registered node's `(dhr, misses)` pairs from the
+    /// sketches and turns it black again, leaving the tree as a fresh
+    /// build from the same estimates would be. With sketches sized above
+    /// the distinct-record count the estimates are exact and the
+    /// resulting classifications equal the batch miner's.
+    fn refresh(&mut self, cm_queries: &CountMinSketch, cm_misses: &CountMinSketch) {
+        for (id, fps) in registered(&self.fps) {
+            self.tree.refresh(
+                id,
+                fps.iter().map(|&fp| {
+                    let q = cm_queries.estimate(fp).max(1);
+                    // Both counters overestimate independently; a record
+                    // is never seen above more often than below, so clamp.
+                    let m = cm_misses.estimate(fp).min(q);
+                    let dhr = (q - m) as f64 / q as f64;
+                    (dhr, u32::try_from(m).unwrap_or(u32::MAX))
+                }),
+            );
+        }
+    }
+}
+
+/// Registered nodes with their fingerprints, in arena order.
+fn registered(fps: &[Vec<u64>]) -> impl Iterator<Item = (usize, &Vec<u64>)> {
+    fps.iter().enumerate().filter(|(_, fps)| !fps.is_empty())
+}
+
 /// The online statistics the observer accumulates: name registry,
 /// sketches, pDNS counters, and the served-class tallies behind the
 /// conservation line.
 #[derive(Debug)]
 pub(crate) struct StreamState {
-    /// Owner name → fingerprints of its records, in first-seen order.
-    pub(crate) names: BTreeMap<Name, Vec<u64>>,
+    pub(crate) registry: Registry,
     pub(crate) cm_queries: CountMinSketch,
     pub(crate) cm_misses: CountMinSketch,
     pub(crate) hll_clients: HyperLogLog,
@@ -311,7 +385,7 @@ pub(crate) struct StreamState {
 impl StreamState {
     fn new(config: &StreamConfig) -> StreamState {
         StreamState {
-            names: BTreeMap::new(),
+            registry: Registry::default(),
             cm_queries: CountMinSketch::new(config.cm_width, config.cm_depth, config.seed),
             cm_misses: CountMinSketch::new(
                 config.cm_width,
@@ -339,23 +413,11 @@ impl StreamState {
             + self.hll_names.state_bytes()
     }
 
-    /// Folds the registry and sketches into a fresh domain tree — the
-    /// streaming stand-in for `DomainTree::from_day_stats`. With sketches
-    /// sized above the distinct-record count the estimates are exact and
-    /// the resulting classifications equal the batch miner's.
-    fn build_tree(&self) -> DomainTree {
-        let mut tree = DomainTree::new();
-        for (name, fps) in &self.names {
-            for &fp in fps {
-                let q = self.cm_queries.estimate(fp).max(1);
-                // Both counters overestimate independently; a record is
-                // never seen above more often than below, so clamp.
-                let m = self.cm_misses.estimate(fp).min(q);
-                let dhr = (q - m) as f64 / q as f64;
-                tree.observe(name, dhr, u32::try_from(m).unwrap_or(u32::MAX));
-            }
-        }
-        tree
+    /// Readies the registry's tree for a mining pass (see
+    /// [`Registry::refresh`]).
+    fn refresh_tree(&mut self) -> &mut DomainTree {
+        self.registry.refresh(&self.cm_queries, &self.cm_misses);
+        &mut self.registry.tree
     }
 }
 
@@ -382,15 +444,13 @@ impl Observer for StreamState {
         let above = served.went_above();
         for rr in answers {
             self.rpdns.observe(rr, day);
-            let fp = fnv1a(rr.key().to_string().as_bytes());
-            let fps = match self.names.get_mut(&rr.name) {
-                Some(fps) => fps,
-                None => {
-                    self.registry_bytes += rr.name.presentation_len() + REGISTRY_NODE_BYTES;
-                    self.hll_names.insert(fnv1a(rr.name.to_string().as_bytes()));
-                    self.names.entry(rr.name.clone()).or_default()
-                }
-            };
+            // The record's `RrKey` text, formatted straight into the hash.
+            let fp = display_fnv1a(format_args!("{} IN {} {}", rr.name, rr.qtype, rr.rdata));
+            let fps = self.registry.fingerprints_mut(&rr.name);
+            if fps.is_empty() {
+                self.registry_bytes += rr.name.presentation_len() + REGISTRY_NODE_BYTES;
+                self.hll_names.insert(display_fnv1a(&rr.name));
+            }
             if !fps.contains(&fp) {
                 fps.push(fp);
                 self.registry_bytes += std::mem::size_of::<u64>();
@@ -645,14 +705,13 @@ impl<'m> StreamMiner<'m> {
     }
 
     fn close_epoch(&mut self, epoch: u64) {
-        let mut tree = self.state.build_tree();
-        let findings = self.miner.mine(&mut tree, &self.psl);
+        let findings = self.miner.mine(self.state.refresh_tree(), &self.psl);
         self.epochs.push(EpochSummary {
             epoch,
             end_secs: (epoch + 1) * self.config.epoch_secs,
             events: self.pushed,
             findings,
-            distinct_names: self.state.names.len() as u64,
+            distinct_names: self.state.registry.len() as u64,
             distinct_names_est: self.state.hll_names.estimate_rounded(),
             distinct_clients_est: self.state.hll_clients.estimate_rounded(),
             state_bytes: self.state.state_bytes(),
@@ -701,17 +760,16 @@ impl<'m> StreamMiner<'m> {
                 learned_runs,
             }
         };
-        let mut tree = state.build_tree();
-        let final_findings = miner.mine(&mut tree, &psl);
+        let final_findings = miner.mine(state.refresh_tree(), &psl);
         let (day_report, sim) = session.finish();
         let mining = ground_truth.map(|gt| {
             // Eligibility bookkeeping needs the pristine (un-decolored)
-            // tree, exactly as the batch pipeline rebuilds one.
-            let eval_tree = state.build_tree();
+            // tree, as the batch pipeline rebuilds one; a refresh
+            // re-blackens it.
             MiningReport::evaluate(
                 day_report.day,
                 final_findings.clone(),
-                &eval_tree,
+                state.refresh_tree(),
                 gt,
                 &psl,
                 miner.config().min_group_size,
@@ -739,7 +797,7 @@ impl<'m> StreamMiner<'m> {
             events_nxdomain: state.nxdomain,
             events_failed: state.failed,
             events_shed: state.shed,
-            distinct_names: state.names.len() as u64,
+            distinct_names: state.registry.len() as u64,
             distinct_names_est: state.hll_names.estimate_rounded(),
             distinct_clients_est: state.hll_clients.estimate_rounded(),
             peak_state_bytes,
@@ -906,10 +964,10 @@ mod tests {
         }
         let per_name_ceiling = 300; // name text + node overhead + a few fingerprints
         assert!(
-            stream.peak_state_bytes() <= fixed + stream.state.names.len() * per_name_ceiling,
+            stream.peak_state_bytes() <= fixed + stream.state.registry.len() * per_name_ceiling,
             "peak {} for {} names",
             stream.peak_state_bytes(),
-            stream.state.names.len()
+            stream.state.registry.len()
         );
     }
 }

@@ -14,6 +14,8 @@
 //!   error `≈ 1.04 / √2^precision`, using linear counting in the small
 //!   range where raw HLL is biased.
 
+use std::fmt::{self, Write as _};
+
 /// The 64-bit SplitMix64 finaliser — the same mixer the resolver's
 /// per-record client sketch uses. Full-avalanche, so sequential keys
 /// scatter uniformly across sketch cells.
@@ -30,15 +32,28 @@ pub(crate) fn seeded_hash(seed: u64, key: u64) -> u64 {
     mix64(key ^ mix64(seed))
 }
 
-/// Seedless FNV-1a over a byte string — the stable fingerprint used to
-/// key sketches by resource record.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Seedless FNV-1a over the `Display` text of `value` — the stable
+/// fingerprint used to key sketches by resource record and owner name.
+/// The text is hashed as it is formatted, so it is never built:
+/// `display_fnv1a(x)` equals FNV-1a over `x.to_string()`'s bytes.
+pub(crate) fn display_fnv1a(value: impl fmt::Display) -> u64 {
+    let mut sink = Fnv1a(0xcbf2_9ce4_8422_2325);
+    // The sink never fails, and `Display` impls only propagate errors.
+    let _ = write!(sink, "{value}");
+    sink.0
+}
+
+/// FNV-1a state, fed by formatting machinery.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
 /// A seeded count-min sketch over `u64` keys.
@@ -57,8 +72,9 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountMinSketch {
     width: usize,
-    depth: usize,
-    seed: u64,
+    /// One hash key per row, derived from the seed once: row `r` maps
+    /// `key` to `mix64(key ^ row_keys[r])`.
+    row_keys: Vec<u64>,
     /// `depth` rows of `width` counters, row-major.
     rows: Vec<u64>,
     /// Total of all increments (the `N` in the `ε·N` error bound).
@@ -74,19 +90,23 @@ impl CountMinSketch {
     pub fn new(width: usize, depth: usize, seed: u64) -> CountMinSketch {
         assert!(width > 0, "count-min width must be positive");
         assert!(depth > 0, "count-min depth must be positive");
-        CountMinSketch { width, depth, seed, rows: vec![0; width * depth], total: 0 }
+        CountMinSketch {
+            width,
+            row_keys: Self::row_keys(depth, seed),
+            rows: vec![0; width * depth],
+            total: 0,
+        }
     }
 
-    /// The cell `key` maps to in `row`.
-    fn cell(&self, row: usize, key: u64) -> usize {
-        let h = seeded_hash(self.seed ^ (row as u64).wrapping_mul(0xa076_1d64_78bd_642f), key);
-        row * self.width + (h % self.width as u64) as usize
+    /// Row `r`'s hash is `seeded_hash(seed ^ r·C, key)`; its seed half,
+    /// `mix64(seed ^ r·C)`, depends on the row alone.
+    fn row_keys(depth: usize, seed: u64) -> Vec<u64> {
+        (0..depth as u64).map(|row| mix64(seed ^ row.wrapping_mul(0xa076_1d64_78bd_642f))).collect()
     }
 
     /// Adds `count` occurrences of `key`.
     pub fn add(&mut self, key: u64, count: u64) {
-        for row in 0..self.depth {
-            let cell = self.cell(row, key);
+        for cell in cells(self.width, &self.row_keys, key) {
             self.rows[cell] += count;
         }
         self.total += count;
@@ -96,7 +116,7 @@ impl CountMinSketch {
     /// below the true count; above it by more than [`Self::epsilon`]`·`
     /// [`Self::total`] with probability at most `e^(−depth)`.
     pub fn estimate(&self, key: u64) -> u64 {
-        (0..self.depth).map(|row| self.rows[self.cell(row, key)]).min().unwrap_or(0)
+        cells(self.width, &self.row_keys, key).map(|cell| self.rows[cell]).min().unwrap_or(0)
     }
 
     /// Total increments folded in so far.
@@ -111,7 +131,7 @@ impl CountMinSketch {
 
     /// Number of rows.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.row_keys.len()
     }
 
     /// The per-estimate error factor `ε = e / width`.
@@ -141,8 +161,16 @@ impl CountMinSketch {
         if width == 0 || depth == 0 || rows.len() != width * depth {
             return None;
         }
-        Some(CountMinSketch { width, depth, seed, rows, total })
+        Some(CountMinSketch { width, row_keys: Self::row_keys(depth, seed), rows, total })
     }
+}
+
+/// The row-major cell `key` maps to in each row of a count-min sketch.
+fn cells(width: usize, row_keys: &[u64], key: u64) -> impl Iterator<Item = usize> + '_ {
+    row_keys
+        .iter()
+        .enumerate()
+        .map(move |(row, &row_key)| row * width + (mix64(key ^ row_key) % width as u64) as usize)
 }
 
 /// A seeded HyperLogLog cardinality estimator over `u64` keys.

@@ -130,6 +130,31 @@ diff "$smoke_dir/s1.txt" "$smoke_dir/sr.txt" >&2 \
 ./target/release/dnsnoise fsck "$smoke_dir/pdns-crash" >"$smoke_dir/fsck.txt" \
     || { echo "error: fsck found problems after crash+resume" >&2
          cat "$smoke_dir/fsck.txt" >&2; exit 1; }
+
+echo "== many-close stream smoke (--epoch-secs 600: repeat and kill/resume) ==" >&2
+# Ten-minute epochs close over a hundred times a day. Every close
+# refreshes and re-mines the same day-long domain tree, and a resumed
+# process rebuilds that tree from its checkpoint: a repeat run and a
+# killed-and-resumed run must both print the exact bytes of the first.
+./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
+    --model "$smoke_dir/model.txt" --epoch-secs 600 >"$smoke_dir/e1.txt"
+./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
+    --model "$smoke_dir/model.txt" --epoch-secs 600 >"$smoke_dir/e2.txt"
+diff "$smoke_dir/e1.txt" "$smoke_dir/e2.txt" >&2 \
+    || { echo "error: repeated 600 s-epoch stream diverged" >&2; exit 1; }
+if ./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
+    --model "$smoke_dir/model.txt" --epoch-secs 600 \
+    --checkpoint "$smoke_dir/ckpt600" --die-after $((events / 2)) \
+    >/dev/null 2>/dev/null; then
+    echo "error: --die-after $((events / 2)) did not kill the 600 s-epoch stream" >&2; exit 1
+fi
+./target/release/dnsnoise stream --trace "$smoke_dir/day1.trace" \
+    --model "$smoke_dir/model.txt" --epoch-secs 600 \
+    --checkpoint "$smoke_dir/ckpt600" >"$smoke_dir/er.txt" 2>"$smoke_dir/er.log"
+grep -q 'resuming from checkpoint' "$smoke_dir/er.log" \
+    || { echo "error: resumed 600 s-epoch stream did not load the checkpoint" >&2; exit 1; }
+diff "$smoke_dir/e1.txt" "$smoke_dir/er.txt" >&2 \
+    || { echo "error: resumed 600 s-epoch stream diverged from the uninterrupted run" >&2; exit 1; }
 grep -q '"bench": "recovery"' BENCH_recovery.json \
     || { echo "error: BENCH_recovery.json missing or malformed" >&2; exit 1; }
 

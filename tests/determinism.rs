@@ -199,7 +199,7 @@ fn streaming_matrix_is_byte_identical_across_sources_and_runs() {
         let ingested = ingest_bytes(&capture, &IngestConfig::default()).expect("clean capture");
         assert!(ingested.report.conserves(), "{}", ingested.report);
 
-        for epoch_secs in [3_600, 21_600, 86_400] {
+        for epoch_secs in [600, 3_600, 21_600, 86_400] {
             let direct = stream_render(&trace, &miner, epoch_secs);
             let piped = stream_render(&ingested.trace, &miner, epoch_secs);
             assert_eq!(direct, piped, "seed {seed}, epoch {epoch_secs}: sources diverge");
